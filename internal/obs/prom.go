@@ -186,6 +186,7 @@ func WriteMetrics(w io.Writer, verifierID string, st service.Stats) error {
 
 	if ps := st.Persistence; ps != nil {
 		p.counter("rationality_store_persisted_total", "Records appended to the durable verdict log since open.", ps.Persisted)
+		p.counter("rationality_store_fsyncs_total", "Tail fsyncs that made appended records durable since open; persisted / fsyncs is the group-commit size.", ps.Syncs)
 		p.gauge("rationality_store_replayed", "Warm-start records replayed into the cache at open.", int64(ps.Replayed))
 		p.counter("rationality_store_dropped_total", "Appends discarded because the store queue was full (lost warmth, never correctness).", ps.Dropped)
 		p.counter("rationality_store_failed_total", "Records lost to a write failure; growing with quiet drops means the disk is the problem, not the load.", ps.Failed)

@@ -88,6 +88,7 @@ func fixtureStats() service.Stats {
 		},
 		Persistence: &store.Stats{
 			Persisted:        30,
+			Syncs:            17,
 			Replayed:         5,
 			Dropped:          1,
 			Failed:           0,

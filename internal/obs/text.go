@@ -43,8 +43,8 @@ func WriteText(w io.Writer, st service.Stats) {
 	if p := st.Persistence; p != nil {
 		fmt.Fprintf(w, "persistence: persisted=%d replayed=%d ingested=%d dropped=%d failed=%d live=%d garbage=%d\n",
 			p.Persisted, p.Replayed, p.Ingested, p.Dropped, p.Failed, p.LiveRecords, p.GarbageRecords)
-		fmt.Fprintf(w, "persistence: compactions=%d compactedRecords=%d salvagedBytes=%d\n",
-			p.Compactions, p.CompactedRecords, p.SalvagedBytes)
+		fmt.Fprintf(w, "persistence: compactions=%d compactedRecords=%d salvagedBytes=%d syncs=%d\n",
+			p.Compactions, p.CompactedRecords, p.SalvagedBytes, p.Syncs)
 	}
 	if st.Audits > 0 || st.AuditRefutations > 0 || st.AuditsShed > 0 || st.IngestRefutations > 0 {
 		fmt.Fprintf(w, "accountability: audits=%d auditRefutations=%d auditsShed=%d ingestRefutations=%d\n",

@@ -23,6 +23,7 @@ func TestWriteTextStableLines(t *testing.T) {
 		"accepted=100 rejected=18 failures=2 peakInFlight=8 cacheEntries=5 workers=4",
 		"cache: 4 shards, per-shard entries [2 1 0 2]",
 		"persistence: persisted=30 replayed=5 ingested=12 dropped=1 failed=0 live=35 garbage=3",
+		"persistence: compactions=2 compactedRecords=9 salvagedBytes=128 syncs=17",
 		"federation: signer=aa11aa11 trustedPeers=2 rejectedUnsigned=1 rejectedUnknown=3 rejectedBadSig=0 rejectedCorrupt=1",
 		"federation: quarantined=1 rejectedQuarantined=2",
 		"federation: peer bb22bb22 deltas=4 records=12 rejected=2",

@@ -23,7 +23,6 @@ const latencyBuckets = 40
 // uncontended atomic adds plus two bounded CAS loops (peak gauge, min/max
 // latency) that almost always exit on their first iteration.
 type metrics struct {
-	requests     atomic.Uint64
 	batches      atomic.Uint64
 	cacheHits    atomic.Uint64
 	cacheMisses  atomic.Uint64
@@ -134,8 +133,9 @@ func bucketUpperBound(i int) time.Duration {
 }
 
 // begin records an arriving request and returns its start time. Lock-free.
+// Every begin is followed by exactly one cache hit or miss, so the request
+// count is derived from those two counters rather than kept separately.
 func (m *metrics) begin() time.Time {
-	m.requests.Add(1)
 	n := m.inFlight.Add(1)
 	for {
 		peak := m.peakInFlight.Load()
@@ -284,11 +284,12 @@ func (m *metrics) snapshot(shardLens []int, shardCount, workers int) Stats {
 	for _, n := range shardLens {
 		cacheEntries += n
 	}
+	hits, misses := m.cacheHits.Load(), m.cacheMisses.Load()
 	s := Stats{
-		Requests:          m.requests.Load(),
+		Requests:          hits + misses,
 		Batches:           m.batches.Load(),
-		CacheHits:         m.cacheHits.Load(),
-		CacheMisses:       m.cacheMisses.Load(),
+		CacheHits:         hits,
+		CacheMisses:       misses,
 		Deduplicated:      m.deduplicated.Load(),
 		Ingested:          m.ingested.Load(),
 		DeltasServed:      m.deltasServed.Load(),

@@ -20,35 +20,36 @@ const (
 	lockName     = "store.lock"
 )
 
-// replaySegment streams records out of r, calling fn for each valid one,
-// and returns the byte length of the valid prefix (version header
-// included) plus the segment's format version. clean is false when the
-// segment ends in a torn or corrupt frame — everything from validBytes on
-// is untrustworthy, because record boundaries cannot be re-found past a
-// bad length field. A non-nil error is a real I/O failure or an unknown
-// segment version, not corruption.
-func replaySegment(r io.Reader, fn func(*Record)) (validBytes int64, clean bool, version int, err error) {
+// scanSegment streams the checked frames of r to fn and returns the byte
+// length of the valid prefix (version header included) plus the
+// segment's format version. The scan stops at the first torn or corrupt
+// frame — everything from validBytes on is untrustworthy, because record
+// boundaries cannot be re-found past a bad length field — or at the
+// first frame fn refuses with errTorn. Any other error from the reader or
+// from fn is returned as is. A frame passed to fn is valid only during
+// the call: the next frame reuses its buffer.
+func scanSegment(r io.Reader, fn func(*frame) error) (validBytes int64, version int, err error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	version, err = sniffVersion(br)
 	if err != nil {
-		return 0, false, 0, err
+		return 0, 0, err
 	}
 	if version >= segmentV2 {
 		validBytes = segmentHeaderLen
 	}
-	var rec Record
+	var f frame
 	for {
-		n, err := readRecord(br, &rec, version)
+		err := readFrame(br, version, &f)
+		if err == nil {
+			err = fn(&f)
+		}
 		switch err {
 		case nil:
-			validBytes += int64(n)
-			fn(&rec)
-		case io.EOF:
-			return validBytes, true, version, nil
-		case errTorn:
-			return validBytes, false, version, nil
+			validBytes += int64(len(f.raw))
+		case io.EOF, errTorn:
+			return validBytes, version, nil
 		default:
-			return 0, false, version, err
+			return 0, version, err
 		}
 	}
 }
@@ -75,29 +76,33 @@ type recovery struct {
 // are newer than any snapshot loss, so replay continues regardless.
 func recoverDir(dir string) (*recovery, error) {
 	rec := &recovery{live: make(map[identity.Hash]*Record)}
-	absorb := func(r *Record) {
+	absorb := func(f *frame) error {
+		r := new(Record)
+		if err := f.decode(r); err != nil {
+			return err
+		}
 		rec.total++
 		if r.Stamp > rec.maxStamp {
 			rec.maxStamp = r.Stamp
 		}
 		if old, ok := rec.live[r.Key]; ok && old.Stamp > r.Stamp {
-			return // an already-seen record is newer; keep it
+			return nil // an already-seen record is newer; keep it
 		}
-		cp := *r
-		rec.live[r.Key] = &cp
+		rec.live[r.Key] = r
+		return nil
 	}
 	noteLegacy := func(version int, size int64) {
 		if version < segmentV4 && size > 0 {
 			rec.upgrade = true
 		}
 	}
-	if err := replayFile(filepath.Join(dir, snapshotName), absorb, func(valid, size int64, version int) error {
+	if err := scanFile(filepath.Join(dir, snapshotName), absorb, func(valid, size int64, version int) error {
 		noteLegacy(version, size)
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	if err := replayFile(filepath.Join(dir, tailName), absorb, func(valid, size int64, version int) error {
+	if err := scanFile(filepath.Join(dir, tailName), absorb, func(valid, size int64, version int) error {
 		noteLegacy(version, size)
 		if valid < size {
 			rec.salvaged = size - valid
@@ -110,11 +115,11 @@ func recoverDir(dir string) (*recovery, error) {
 	return rec, nil
 }
 
-// replayFile replays one segment file if it exists; after the replay,
-// onDone (when non-nil) receives the valid-prefix length, the file size
-// and the segment's format version, so the caller can truncate a torn
-// tail or note a legacy segment for upgrade.
-func replayFile(path string, fn func(*Record), onDone func(valid, size int64, version int) error) error {
+// scanFile scans one segment file with scanSegment if it exists; after
+// the scan, onDone (when non-nil) receives the valid-prefix length, the
+// file size and the segment's format version, so the caller can truncate
+// a torn tail or note a legacy segment for upgrade.
+func scanFile(path string, fn func(*frame) error, onDone func(valid, size int64, version int) error) error {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		if onDone != nil {
@@ -130,9 +135,9 @@ func replayFile(path string, fn func(*Record), onDone func(valid, size int64, ve
 	if err != nil {
 		return fmt.Errorf("store: stat %s: %w", filepath.Base(path), err)
 	}
-	valid, _, version, err := replaySegment(f, fn)
+	valid, version, err := scanSegment(f, fn)
 	if err != nil {
-		return fmt.Errorf("store: replaying %s: %w", filepath.Base(path), err)
+		return fmt.Errorf("store: reading %s: %w", filepath.Base(path), err)
 	}
 	if onDone != nil {
 		return onDone(valid, info.Size(), version)

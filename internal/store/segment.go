@@ -238,20 +238,44 @@ func sniffVersion(br *bufio.Reader) (int, error) {
 	return int(head[4]), nil
 }
 
-// readRecord decodes the next record from r using the given format
-// version and returns its framed size in bytes. It returns io.EOF at a
-// clean segment end, errTorn when the next frame is short, over-long or
-// fails its checksum, and any other error verbatim (a real I/O failure).
-func readRecord(r io.Reader, rec *Record, version int) (int, error) {
-	var header [headerLen]byte
-	if _, err := io.ReadFull(r, header[:]); err != nil {
+// frame is one checked record as it sits in a segment: the raw bytes —
+// length + CRC header, then the payload — with the key and stamp parsed
+// and the remaining columns sliced out of the payload, but nothing
+// decoded. Readers that only route records (compaction, the live-record
+// reader behind Delta and Records) never pay for the verdict JSON; a
+// frame is materialized as a Record only by decode.
+type frame struct {
+	raw     []byte
+	key     identity.Hash
+	stamp   uint64
+	origin  []byte
+	request []byte
+	cert    []byte
+	verdict []byte // JSON core.Verdict
+}
+
+// readFrame reads the next frame of a segment in the given format version
+// into f, reusing f.raw's capacity, and checks it: the length field
+// against the version's bounds, the CRC32C over the payload, and every
+// column length against the payload. It returns io.EOF at a clean segment
+// end, errTorn when the next frame is short, over-long, fails its
+// checksum or has a column overrunning its payload, and any other error
+// verbatim (a real I/O failure). f's slices alias f.raw and stay valid
+// until the next readFrame into the same f.
+func readFrame(r io.Reader, version int, f *frame) error {
+	buf := f.raw[:0]
+	if cap(buf) < headerLen {
+		buf = make([]byte, 0, 512)
+	}
+	buf = buf[:headerLen]
+	if _, err := io.ReadFull(r, buf); err != nil {
 		if err == io.EOF {
-			return 0, io.EOF // clean end: no partial header
+			return io.EOF // clean end: no partial header
 		}
 		if err == io.ErrUnexpectedEOF {
-			return 0, errTorn // header itself is torn
+			return errTorn // header itself is torn
 		}
-		return 0, err
+		return err
 	}
 	minPayload := minPayloadV1
 	switch {
@@ -262,68 +286,77 @@ func readRecord(r io.Reader, rec *Record, version int) (int, error) {
 	case version >= segmentV2:
 		minPayload = minPayloadV2
 	}
-	length := int(binary.BigEndian.Uint32(header[:4]))
+	length := int(binary.BigEndian.Uint32(buf[:4]))
 	if length < minPayload || length > maxPayload {
-		return 0, errTorn
+		return errTorn
 	}
-	payload := make([]byte, length)
+	if cap(buf) < headerLen+length {
+		buf = append(make([]byte, 0, headerLen+length), buf...)
+	}
+	buf = buf[:headerLen+length]
+	f.raw = buf
+	payload := buf[headerLen:]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return 0, errTorn // payload shorter than its header promised
+			return errTorn // payload shorter than its header promised
 		}
-		return 0, err
+		return err
 	}
-	if crc32.Checksum(payload, crcTable) != binary.BigEndian.Uint32(header[4:8]) {
-		return 0, errTorn
+	if crc32.Checksum(payload, crcTable) != binary.BigEndian.Uint32(buf[4:headerLen]) {
+		return errTorn
 	}
-	copy(rec.Key[:], payload[:keyLen])
-	rec.Stamp = binary.BigEndian.Uint64(payload[keyLen : keyLen+stampLen])
-	body := payload[minPayloadV1:]
-	rec.Origin = ""
+	copy(f.key[:], payload[:keyLen])
+	f.stamp = binary.BigEndian.Uint64(payload[keyLen:minPayloadV1])
+	// Column lengths follow the stamp, one per column the version has.
+	var olen, qlen, clen int
+	if version >= segmentV2 {
+		olen = int(binary.BigEndian.Uint16(payload[minPayloadV1:minPayloadV2]))
+	}
+	if version >= segmentV3 {
+		qlen = int(binary.BigEndian.Uint32(payload[minPayloadV2:minPayloadV3]))
+	}
+	if version >= segmentV4 {
+		clen = int(binary.BigEndian.Uint32(payload[minPayloadV3:minPayloadV4]))
+	}
+	if olen > maxOrigin || qlen > maxPayload || clen > maxPayload ||
+		minPayload+olen+qlen+clen > length {
+		return errTorn
+	}
+	cols := payload[minPayload:]
+	f.origin, cols = cols[:olen], cols[olen:]
+	f.request, cols = cols[:qlen], cols[qlen:]
+	f.cert, f.verdict = cols[:clen], cols[clen:]
+	return nil
+}
+
+// decode materializes the frame as a Record. Every column is copied, so
+// the record outlives the frame's buffer. A verdict that does not decode
+// passed its CRC, so these bytes are what the writer wrote — a writer
+// bug, not a torn write — but it is reported as errTorn anyway: a replay
+// stops there rather than guessing at the next frame.
+func (f *frame) decode(rec *Record) error {
+	rec.Key = f.key
+	rec.Stamp = f.stamp
+	rec.Origin = identity.PartyID(f.origin)
 	rec.Request = nil
+	if len(f.request) > 0 {
+		rec.Request = append(json.RawMessage(nil), f.request...)
+	}
 	rec.Cert = nil
-	switch {
-	case version >= segmentV4:
-		olen := int(binary.BigEndian.Uint16(payload[keyLen+stampLen : keyLen+stampLen+originLenLen]))
-		qlen := int(binary.BigEndian.Uint32(payload[keyLen+stampLen+originLenLen : minPayloadV3]))
-		clen := int(binary.BigEndian.Uint32(payload[minPayloadV3:minPayloadV4]))
-		if olen > maxOrigin || qlen > maxPayload || clen > maxPayload ||
-			minPayloadV4+olen+qlen+clen > length {
-			return 0, errTorn
-		}
-		rec.Origin = identity.PartyID(payload[minPayloadV4 : minPayloadV4+olen])
-		if qlen > 0 {
-			rec.Request = json.RawMessage(payload[minPayloadV4+olen : minPayloadV4+olen+qlen])
-		}
-		if clen > 0 {
-			rec.Cert = payload[minPayloadV4+olen+qlen : minPayloadV4+olen+qlen+clen]
-		}
-		body = payload[minPayloadV4+olen+qlen+clen:]
-	case version >= segmentV3:
-		olen := int(binary.BigEndian.Uint16(payload[keyLen+stampLen : keyLen+stampLen+originLenLen]))
-		qlen := int(binary.BigEndian.Uint32(payload[keyLen+stampLen+originLenLen : minPayloadV3]))
-		if olen > maxOrigin || qlen > maxPayload || minPayloadV3+olen+qlen > length {
-			return 0, errTorn
-		}
-		rec.Origin = identity.PartyID(payload[minPayloadV3 : minPayloadV3+olen])
-		if qlen > 0 {
-			rec.Request = json.RawMessage(payload[minPayloadV3+olen : minPayloadV3+olen+qlen])
-		}
-		body = payload[minPayloadV3+olen+qlen:]
-	case version >= segmentV2:
-		olen := int(binary.BigEndian.Uint16(payload[keyLen+stampLen : minPayloadV2]))
-		if olen > maxOrigin || minPayloadV2+olen > length {
-			return 0, errTorn
-		}
-		rec.Origin = identity.PartyID(payload[minPayloadV2 : minPayloadV2+olen])
-		body = payload[minPayloadV2+olen:]
+	if len(f.cert) > 0 {
+		rec.Cert = append([]byte(nil), f.cert...)
 	}
 	rec.Verdict = core.Verdict{}
-	if err := json.Unmarshal(body, &rec.Verdict); err != nil {
-		// The CRC passed, so these bytes are what the writer wrote — a
-		// writer bug, not a torn write. Treat it like corruption anyway:
-		// salvage stops here rather than guessing at the next frame.
-		return 0, errTorn
+	if err := json.Unmarshal(f.verdict, &rec.Verdict); err != nil {
+		return errTorn
 	}
-	return headerLen + int(length), nil
+	return nil
+}
+
+// restamp rewrites a v4 frame's stamp in place and re-seals its CRC: the
+// one edit compaction makes to a record it carries into the snapshot.
+func (f *frame) restamp(stamp uint64) {
+	f.stamp = stamp
+	binary.BigEndian.PutUint64(f.raw[headerLen+keyLen:], stamp)
+	binary.BigEndian.PutUint32(f.raw[4:headerLen], crc32.Checksum(f.raw[headerLen:], crcTable))
 }

@@ -14,15 +14,21 @@
 //     than ever applying backpressure to verification.
 //   - A single flusher goroutine owns the tail file. It drains the
 //     channel, frames records (length prefix + CRC32C, see segment.go),
-//     appends them, and fsyncs every SyncEvery records — plus once more
-//     whenever the queue drains — so durability amortizes the sync cost
-//     across a burst without leaving a quiet service's records unsynced.
+//     appends them, and group-commits them: it fsyncs every SyncEvery
+//     records inside a burst, and once the queue runs dry it waits a
+//     short idle window (about a millisecond) for more records before it
+//     pays the trailing fsync. A burst of concurrent verifications thus
+//     shares one fsync instead of paying one per lull between records,
+//     and a quiet service still has every record synced within the
+//     window. A synchronous command (Manifest, Delta, Ingest, ...) never
+//     waits out the window: the tail is synced before it runs.
 //   - Compaction runs on the same goroutine: once superseded records
 //     (same key re-appended after a cache eviction, or duplicates left
-//     by an earlier crash) exceed CompactAt, the live set is rewritten
-//     into a snapshot segment — built as a temp file, fsynced, then
-//     atomically renamed — and the tail is truncated. Recovery replays
-//     snapshot + tail, newest stamp per key winning.
+//     by an earlier crash) exceed CompactAt, the live set is copied into
+//     a snapshot segment — frame by frame, each CRC-checked and none
+//     re-encoded; built as a temp file, fsynced, then atomically renamed
+//     — and the tail is truncated. Recovery replays snapshot + tail,
+//     newest stamp per key winning.
 //   - Recovery salvages a torn tail: the replay keeps the longest valid
 //     prefix (every record independently CRC-checked) and truncates the
 //     rest, so a crash mid-append costs at most the unsynced suffix,
@@ -40,6 +46,7 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"rationality/internal/core"
 	"rationality/internal/identity"
@@ -48,8 +55,8 @@ import (
 // Tuning defaults; zero-valued Options fields fall back to these.
 const (
 	// DefaultSyncEvery is how many appended records may accumulate before
-	// the flusher fsyncs the tail. A crash can lose at most this many
-	// acknowledged-but-unsynced verdicts (plus any still queued).
+	// the flusher fsyncs the tail. A power loss can lose at most this many
+	// minus one written-but-unsynced verdicts (plus any still queued).
 	DefaultSyncEvery = 64
 	// DefaultQueueSize is the bounded append queue's capacity. When the
 	// flusher falls behind by this many records, further appends are
@@ -61,14 +68,23 @@ const (
 	DefaultCompactAt = 1024
 )
 
+// idleWindow is how long the flusher, once its queue runs dry, waits for
+// more records before it fsyncs the ones already written. Closed-loop
+// clients leave the queue empty between almost every pair of records, so
+// syncing at the first lull would cost one fsync per record or two; the
+// window lets a burst share one, while an idle store is still fully
+// synced this long after its last record.
+const idleWindow = time.Millisecond
+
 // Options tunes a Store. The zero value is ready to use.
 type Options struct {
 	// SyncEvery is the fsync cadence in records; zero or negative means
 	// DefaultSyncEvery. One means every record is synced before the next
 	// is written (maximum durability, one syscall per verdict). The
-	// flusher additionally syncs whenever its queue drains, so the
-	// cadence only governs sustained bursts, never how long an idle
-	// service leaves records in the page cache.
+	// flusher additionally syncs once its queue has stayed empty for a
+	// short idle window (about a millisecond), so the cadence only
+	// governs sustained bursts, never how long an idle service leaves
+	// records in the page cache.
 	SyncEvery int
 	// QueueSize bounds the append queue; zero or negative means
 	// DefaultQueueSize.
@@ -108,6 +124,10 @@ type Options struct {
 type Stats struct {
 	// Persisted counts records appended to the tail segment since Open.
 	Persisted uint64 `json:"persisted"`
+	// Syncs counts the tail fsyncs that made appended records durable
+	// since Open. Persisted / Syncs is the mean group-commit size: how
+	// many written records one fsync covered.
+	Syncs uint64 `json:"syncs"`
 	// Replayed counts live records recovered from disk at Open. (The
 	// verification service overrides this in its own Stats with the
 	// count that actually entered its cache, which is smaller when the
@@ -166,6 +186,7 @@ type Store struct {
 	// Counters: written by the flusher (and Open), read by Stats from
 	// any goroutine.
 	persisted   atomic.Uint64
+	syncs       atomic.Uint64
 	replayed    atomic.Uint64
 	dropped     atomic.Uint64
 	failed      atomic.Uint64
@@ -341,6 +362,7 @@ func (s *Store) AppendCertified(key identity.Hash, v core.Verdict, request, cert
 func (s *Store) Stats() Stats {
 	return Stats{
 		Persisted:        s.persisted.Load(),
+		Syncs:            s.syncs.Load(),
 		Replayed:         s.replayed.Load(),
 		Dropped:          s.dropped.Load(),
 		Failed:           s.failed.Load(),
@@ -368,6 +390,12 @@ func (s *Store) flusher() {
 	defer close(s.done)
 	defer s.unlock()
 	defer s.tail.Close()
+	// idle is armed whenever the queue runs dry with written records
+	// still unsynced, and re-armed by every record that arrives before it
+	// fires. A stale fire is harmless: syncTail is a no-op when nothing
+	// is pending, so the timer is never stopped or drained.
+	idle := time.NewTimer(idleWindow)
+	defer idle.Stop()
 	for {
 		select {
 		case <-s.quit:
@@ -383,32 +411,36 @@ func (s *Store) flusher() {
 			}
 		case fn := <-s.cmds:
 			// Writes first, then the command: any Append accepted before
-			// the command was issued is on disk when the command runs, so
-			// the sync API (Manifest/Delta/Ingest) observes a consistent
-			// prefix of the append history.
+			// the command was issued is on disk — and synced, so no
+			// command ever waits out the idle window — when the command
+			// runs, so the sync API (Manifest/Delta/Ingest) observes a
+			// consistent prefix of the append history.
 			s.drainPending()
+			s.syncTail()
 			fn()
 		case r := <-s.queue:
 			s.handleRecord(&r)
 			s.drainPending()
+			if s.sinceSync > 0 {
+				idle.Reset(idleWindow)
+			}
+		case <-idle.C:
+			s.syncTail()
 		}
 	}
 }
 
-// drainPending handles every currently queued record without blocking,
-// then syncs the leftovers before the flusher goes idle (or runs a
-// command). handleRecord keeps the sync cadence honest inside the burst,
-// so one fsync covers at most SyncEvery records even under a load that
-// never lets the queue run dry; the trailing sync means a quiet service
-// never leaves records sitting in the page cache waiting for record
-// number SyncEvery to show up.
+// drainPending handles every currently queued record without blocking.
+// handleRecord keeps the sync cadence honest inside the burst, so one
+// fsync covers at most SyncEvery records even under a load that never
+// lets the queue run dry; the records written since the last sync wait
+// for the idle window (or the next command) to be synced.
 func (s *Store) drainPending() {
 	for {
 		select {
 		case r := <-s.queue:
 			s.handleRecord(&r)
 		default:
-			s.syncTail()
 			return
 		}
 	}
@@ -514,4 +546,5 @@ func (s *Store) syncTail() {
 		return
 	}
 	s.sinceSync = 0
+	s.syncs.Add(1)
 }

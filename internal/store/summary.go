@@ -3,8 +3,6 @@ package store
 import (
 	"encoding/binary"
 	"hash/fnv"
-	"path/filepath"
-	"sort"
 
 	"rationality/internal/identity"
 )
@@ -49,11 +47,8 @@ func (s *Store) Summary() (Summary, error) {
 }
 
 // Records materializes the live copies of the requested keys, oldest
-// stamp first, reading the verdict bodies back off the segment files
-// (the index holds only stamps and sums). Keys the store does not hold
-// live are skipped silently — a rumor can outlive its record's
-// supersession. The tail is synced first, matching Delta: a record
-// handed to a peer must not be one a local crash could still lose.
+// stamp first, via readLive. Keys the store does not hold live are
+// skipped silently — a rumor can outlive its record's supersession.
 func (s *Store) Records(keys []identity.Hash) ([]Record, error) {
 	var out []Record
 	var scanErr error
@@ -64,33 +59,7 @@ func (s *Store) Records(keys []identity.Hash) ([]Record, error) {
 				need[k] = true
 			}
 		}
-		if len(need) == 0 {
-			return
-		}
-		s.syncTail()
-		if s.flushErr != nil {
-			scanErr = s.flushErr
-			return
-		}
-		found := make(map[identity.Hash]Record, len(need))
-		absorb := func(r *Record) {
-			if need[r.Key] && r.Stamp == s.index[r.Key].stamp {
-				found[r.Key] = *r // the live copy, not a superseded one
-			}
-		}
-		if err := replayFile(filepath.Join(s.dir, snapshotName), absorb, nil); err != nil {
-			scanErr = err
-			return
-		}
-		if err := replayFile(filepath.Join(s.dir, tailName), absorb, nil); err != nil {
-			scanErr = err
-			return
-		}
-		out = make([]Record, 0, len(found))
-		for _, r := range found {
-			out = append(out, r)
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i].Stamp < out[j].Stamp })
+		out, scanErr = s.readLive(need)
 	})
 	if err != nil {
 		return nil, err

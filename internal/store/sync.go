@@ -73,11 +73,9 @@ func (s *Store) Manifest() (map[identity.Hash]RecordInfo, error) {
 // ordered oldest stamp first. A peer whose copy has an older stamp but
 // the same content sum needs nothing: the stamp gap is compaction
 // re-ranking, not data, and sending it would only bounce identical
-// verdicts between replicas forever. The verdict bodies are read back
-// off the segment files (the in-memory index holds only stamps and
-// sums), so a delta costs one log scan — anti-entropy cadence, not
-// hot-path cadence. The tail is synced first: a record handed to a peer
-// must not be one a local crash could still lose.
+// verdicts between replicas forever. The records are read back with
+// readLive, so a delta costs one log scan — anti-entropy cadence, not
+// hot-path cadence.
 func (s *Store) Delta(have map[identity.Hash]RecordInfo) ([]Record, error) {
 	var out []Record
 	var scanErr error
@@ -89,38 +87,48 @@ func (s *Store) Delta(have map[identity.Hash]RecordInfo) ([]Record, error) {
 				need[key] = true
 			}
 		}
-		if len(need) == 0 {
-			return
-		}
-		s.syncTail()
-		if s.flushErr != nil {
-			scanErr = s.flushErr
-			return
-		}
-		found := make(map[identity.Hash]Record, len(need))
-		absorb := func(r *Record) {
-			if need[r.Key] && r.Stamp == s.index[r.Key].stamp {
-				found[r.Key] = *r // the live copy, not a superseded one
-			}
-		}
-		if err := replayFile(filepath.Join(s.dir, snapshotName), absorb, nil); err != nil {
-			scanErr = err
-			return
-		}
-		if err := replayFile(filepath.Join(s.dir, tailName), absorb, nil); err != nil {
-			scanErr = err
-			return
-		}
-		out = make([]Record, 0, len(found))
-		for _, r := range found {
-			out = append(out, r)
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i].Stamp < out[j].Stamp })
+		out, scanErr = s.readLive(need)
 	})
 	if err != nil {
 		return nil, err
 	}
 	return out, scanErr
+}
+
+// readLive materializes the live copies of the keys in need (which it
+// consumes), oldest stamp first. The in-memory index holds only stamps
+// and sums, so the records come back off the segment files: one frame
+// scan of snapshot + tail that decodes only the frames it returns. The
+// tail is synced first — a record handed to a peer must not be one a
+// local crash could still lose. Runs on the flusher goroutine.
+func (s *Store) readLive(need map[identity.Hash]bool) ([]Record, error) {
+	if len(need) == 0 {
+		return nil, nil
+	}
+	s.syncTail()
+	if s.flushErr != nil {
+		return nil, s.flushErr
+	}
+	out := make([]Record, 0, len(need))
+	pick := func(f *frame) error {
+		if !need[f.key] || f.stamp != s.index[f.key].stamp {
+			return nil // unwanted, or a superseded copy
+		}
+		var r Record
+		if err := f.decode(&r); err != nil {
+			return err
+		}
+		out = append(out, r)
+		delete(need, f.key) // an equal-stamp duplicate is the same record
+		return nil
+	}
+	for _, name := range []string{snapshotName, tailName} {
+		if err := scanFile(filepath.Join(s.dir, name), pick, nil); err != nil {
+			return nil, err
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Stamp < out[j].Stamp })
+	return out, nil
 }
 
 // Refutation is ingest-time evidence of a lying voucher: an incoming
@@ -242,12 +250,17 @@ func DecodeRecords(data []byte) ([]Record, error) {
 		return nil, fmt.Errorf("store: sync delta: %w", err)
 	}
 	var out []Record
+	var f frame
 	for {
+		err := readFrame(br, version, &f)
+		if err == io.EOF {
+			return out, nil
+		}
 		var rec Record
-		if _, err := readRecord(br, &rec, version); err != nil {
-			if err == io.EOF {
-				return out, nil
-			}
+		if err == nil {
+			err = f.decode(&rec)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("store: corrupt sync delta after %d records: %w", len(out), err)
 		}
 		out = append(out, rec)
